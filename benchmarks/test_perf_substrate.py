@@ -54,7 +54,12 @@ def test_perf_telemetry_ingest_rate(benchmark):
 
 
 def test_scale_smoke_500_servers(benchmark):
-    """A 500-server facility co-simulates a day in seconds."""
+    """A 500-server facility co-simulates a day in seconds.
+
+    Times the vector plant, the only one ``DataCenterSpec`` builds.
+    The committed baseline row predates that and timed the plain
+    per-object plant.
+    """
     from repro.datacenter import CoSimulation, DataCenterSpec
 
     def run():
@@ -77,19 +82,18 @@ def test_scale_smoke_500_servers(benchmark):
 def test_scale_smoke_2000_servers(benchmark):
     """The vector plant co-simulates a 2000-server day in seconds.
 
-    Same facility as the object-backend run (and bit-identical
-    results — see tests/test_backend_equivalence.py); the
-    structure-of-arrays fleet turns the farm tick and ``sync_physical``
-    into a handful of numpy passes.  Budget: 4 s, a third of the
-    object backend's 12 s.
+    Bit-identical to the plain per-object reference plant (see
+    tests/test_backend_equivalence.py); the structure-of-arrays fleet
+    turns the farm tick and ``sync_physical`` into a handful of numpy
+    passes.  Budget: 4 s, a third of the 12 s the per-object plant
+    took.
     """
     from repro.datacenter import CoSimulation, DataCenterSpec
 
     def run():
         spec = DataCenterSpec(racks=100, servers_per_rack=20, zones=10,
                               cracs=4,
-                              zone_conductance_w_per_k=80_000.0,
-                              backend="vector")
+                              zone_conductance_w_per_k=80_000.0)
         demand = spec.total_servers * spec.server_capacity * 0.5
         sim = CoSimulation(spec, lambda t: demand, managed=True)
         return sim.run(86_400.0)
@@ -108,14 +112,14 @@ def test_scale_smoke_20000_servers(benchmark):
     """A 20,000-server managed day stays under a minute (vector only).
 
     Ten times the previous scale ceiling: 1000 racks, 20 zones, 8
-    CRACs.  Only feasible on the structure-of-arrays backend — the
-    object plant takes minutes at this size.
+    CRACs.  Only feasible on the structure-of-arrays plant — a
+    per-object plant takes minutes at this size.
     """
     from repro.datacenter import CoSimulation
     from repro.perf.bench import bench_spec
 
     def run():
-        spec = bench_spec(20_000, backend="vector")
+        spec = bench_spec(20_000)
         demand = spec.total_servers * spec.server_capacity * 0.5
         sim = CoSimulation(spec, lambda t: demand, managed=True)
         return sim.run(86_400.0)
@@ -143,7 +147,7 @@ def test_scale_smoke_100000_servers(benchmark):
     from repro.perf.bench import bench_spec
 
     def run():
-        spec = bench_spec(100_000, backend="vector")
+        spec = bench_spec(100_000)
         sim = ShardedCoSimulation(
             spec, {"kind": "constant", "fraction": 0.5},
             shards=4, workers=4)
@@ -179,7 +183,7 @@ def test_scale_smoke_1000000_servers(benchmark):
     from repro.perf.bench import bench_spec
 
     def run():
-        spec = bench_spec(1_000_000, backend="vector")
+        spec = bench_spec(1_000_000)
         sim = ShardedCoSimulation(
             spec, {"kind": "constant", "fraction": 0.5},
             shards=16, workers=4)

@@ -51,6 +51,8 @@ __all__ = ["FleetAggregate", "make_pool_aggregate"]
 #: re-sum is amortized to nothing (one scan per ~4k server updates).
 RECOMPUTE_EVERY = 4096
 
+_COMMITTED = (ServerState.ACTIVE, ServerState.BOOTING, ServerState.WAKING)
+
 
 class FleetAggregate:
     """Incremental power/state aggregates over a fixed server pool.
@@ -175,10 +177,57 @@ class FleetAggregate:
                 "active_count_corrected": count_corrected,
                 "roster_repaired": roster_repaired}
 
+    def committed_count(self) -> int:
+        """Servers committed to serving: ACTIVE, BOOTING or WAKING."""
+        return sum(1 for s in self.servers if s._state in _COMMITTED)
+
+    def pick_startable(self, quarantined=None):
+        """First startable server (see :meth:`pick_startable_many`),
+        or ``None``."""
+        picked = self.pick_startable_many(quarantined, 1)
+        return picked[0] if picked else None
+
+    def pick_startable_many(self, quarantined, count: int) -> list:
+        """The first ``count`` SLEEPING servers, then OFF ones, in pool
+        order, skipping zones in ``quarantined``.
+
+        One scan equals ``count`` repeated single picks because
+        starting a server only removes *it* from the candidate pool.
+        """
+        quarantined = quarantined or ()
+        picked: list[Server] = []
+        for target in (ServerState.SLEEPING, ServerState.OFF):
+            for server in self.servers:
+                if len(picked) >= count:
+                    return picked
+                if (server._state is target
+                        and server.zone not in quarantined):
+                    picked.append(server)
+        return picked
+
+    def mean_utilization_active(self) -> float:
+        """Mean utilization over the (non-empty) active set."""
+        active = self.active_servers()
+        return sum(s.utilization for s in active) / len(active)
+
+    def mean_response_time_active(self, delay_cap_s: float) -> float:
+        """Mean M/M/1 response time over the (non-empty) active set,
+        each server's delay capped at ``delay_cap_s``."""
+        # Imported here: repro.control imports this module.
+        from repro.control.queueing import mm1_response_time
+
+        active = self.active_servers()
+        total = 0.0
+        for server in active:
+            total += mm1_response_time(server.offered_load,
+                                       max(server.effective_capacity, 1e-9),
+                                       saturation_cap_s=delay_cap_s)
+        return total / len(active)
+
     def batcher(self):
-        """Bulk-mutation interface, or ``None`` (the object path has
-        none; the vector backend overrides this when its wiring makes
-        batch updates exact)."""
+        """Bulk-mutation interface, or ``None`` (the plain-server pool
+        has none; the vector aggregate overrides this when its wiring
+        makes batch updates exact)."""
         return None
 
     def __repr__(self) -> str:

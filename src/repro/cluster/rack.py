@@ -89,6 +89,11 @@ class Cluster:
         """
         return [rack.aggregate.power_w for rack in self.racks]
 
+    def rack_powers_array(self):
+        """:meth:`rack_powers` as one float column, or ``None`` when
+        rack draws are not stored as one (the vector cluster's are)."""
+        return None
+
     def heat_by_zone(self) -> dict[str, float]:
         """Heat load per thermal zone — the cooling co-sim input."""
         heat: dict[str, float] = {}

@@ -84,7 +84,7 @@ class _ServingRoster:
     dispatch reads the index.
     """
 
-    #: Safe alongside the vector backend's batch kernels: the roster
+    #: Safe alongside the vector plant's batch kernels: the roster
     #: only reacts to state transitions, which batches never perform.
     vector_batch_safe = True
 

@@ -31,11 +31,7 @@ import math
 
 from repro.cluster.server import ServerState
 from repro.control.farm import ServerFarm
-from repro.control.onoff import (
-    _activate_many,
-    _committed_count,
-    _deactivate_many,
-)
+from repro.control.onoff import _activate_many, _deactivate_many
 from repro.sim import Monitor
 
 __all__ = ["CoordinatedController"]
@@ -95,7 +91,7 @@ class CoordinatedController:
         # control plane attached, the committed count and active
         # roster are *believed* state — the controller cannot see
         # whether its wake commands actually landed.
-        cp = getattr(farm, "control_plane", None)
+        cp = farm.control_plane
         mediated = cp is not None and not cp.perfect
         target = max(1, math.ceil(demand / per_server_full))
         target = min(target, len(farm.servers))
@@ -104,7 +100,7 @@ class CoordinatedController:
                 1 for s in farm.servers
                 if cp.believed_state(s) is ServerState.ACTIVE)
         else:
-            committed = _committed_count(farm)
+            committed = farm.fleet.committed_count()
         if committed < target:
             _activate_many(farm, target - committed)
         elif committed > target:

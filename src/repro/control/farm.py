@@ -18,7 +18,6 @@ import typing
 
 from repro.cluster.loadbalancer import EvenSplit, LoadBalancer
 from repro.cluster.server import Server
-from repro.control.queueing import mm1_response_time
 from repro.sim import CounterMonitor, Environment, Monitor
 
 __all__ = ["ServerFarm"]
@@ -92,13 +91,9 @@ class ServerFarm:
         fleet.  The counterpart convention in
         :meth:`mean_response_time_s` reports ``delay_cap_s``.
         """
-        active = self.fleet.active_servers()
-        if not active:
+        if not self.fleet.active_servers():
             return 1.0  # no capacity at all: saturated by definition
-        fast = getattr(self.fleet, "mean_utilization_active", None)
-        if fast is not None:
-            return fast()
-        return sum(s.utilization for s in active) / len(active)
+        return self.fleet.mean_utilization_active()
 
     def mean_response_time_s(self) -> float:
         """Measured mean response time across active servers.
@@ -112,18 +107,9 @@ class ServerFarm:
         queue) — the same "saturated by definition" outage reading
         that :meth:`mean_utilization` expresses as ``1.0``.
         """
-        active = self.fleet.active_servers()
-        if not active:
+        if not self.fleet.active_servers():
             return self.delay_cap_s
-        fast = getattr(self.fleet, "mean_response_time_active", None)
-        if fast is not None:
-            return fast(self.delay_cap_s)
-        total = 0.0
-        for server in active:
-            total += mm1_response_time(server.offered_load,
-                                       max(server.effective_capacity, 1e-9),
-                                       saturation_cap_s=self.delay_cap_s)
-        return total / len(active)
+        return self.fleet.mean_response_time_active(self.delay_cap_s)
 
     def total_power_w(self) -> float:
         """Total wall power of the pool (event-driven aggregate; O(1))."""

@@ -45,6 +45,15 @@ def _trace_deactivate(farm: ServerFarm, name: str | None,
                      to_sleep=to_sleep, via=via)
 
 
+def _start(farm: ServerFarm, server) -> None:
+    """Wake a SLEEPING server, boot an OFF one."""
+    if server.state is ServerState.SLEEPING:
+        server.wake()
+    else:
+        server.power_on()
+    _trace_activate(farm, server.name, "direct")
+
+
 def _activate_one(farm: ServerFarm) -> bool:
     """Wake (preferred) or boot one machine; True if one was started.
 
@@ -58,39 +67,17 @@ def _activate_one(farm: ServerFarm) -> bool:
     impaired one can only select on believed state and the command has
     to survive the actuation network.
     """
-    quarantined = getattr(farm, "quarantined_zones", frozenset())
-    cp = getattr(farm, "control_plane", None)
+    cp = farm.control_plane
     if cp is not None:
-        started = cp.activate_one(quarantined)
+        started = cp.activate_one(farm.quarantined_zones)
         if started:
             _trace_activate(farm, cp.last_actuated, "controlplane")
         return started
-    picker = getattr(farm.fleet, "pick_startable", None)
-    if picker is not None:
-        # Vector backend: the same first-SLEEPING-else-first-OFF pool
-        # scan, done on the state-code column.
-        server = picker(quarantined)
-        if server is None:
-            return False
-        if server.state is ServerState.SLEEPING:
-            server.wake()
-        else:
-            server.power_on()
-        _trace_activate(farm, server.name, "vector")
-        return True
-    for server in farm.servers:
-        if (server.state is ServerState.SLEEPING
-                and server.zone not in quarantined):
-            server.wake()
-            _trace_activate(farm, server.name, "direct")
-            return True
-    for server in farm.servers:
-        if (server.state is ServerState.OFF
-                and server.zone not in quarantined):
-            server.power_on()
-            _trace_activate(farm, server.name, "direct")
-            return True
-    return False
+    server = farm.fleet.pick_startable(farm.quarantined_zones)
+    if server is None:
+        return False
+    _start(farm, server)
+    return True
 
 
 def _activate_many(farm: ServerFarm, count: int) -> int:
@@ -99,23 +86,17 @@ def _activate_many(farm: ServerFarm, count: int) -> int:
     Waking a machine never changes any *other* machine's eligibility,
     so taking the first ``count`` startable servers in one scan is
     exactly the ``count``-times-repeated single scan — which is what
-    the fallback loop literally does.
+    the control-plane loop literally does.
     """
     if count <= 0:
         return 0
+    if farm.control_plane is None:
+        picked = farm.fleet.pick_startable_many(farm.quarantined_zones,
+                                                count)
+        for server in picked:
+            _start(farm, server)
+        return len(picked)
     started = 0
-    if getattr(farm, "control_plane", None) is None:
-        many = getattr(farm.fleet, "pick_startable_many", None)
-        if many is not None:
-            quarantined = getattr(farm, "quarantined_zones", frozenset())
-            for server in many(quarantined, count):
-                if server.state is ServerState.SLEEPING:
-                    server.wake()
-                else:
-                    server.power_on()
-                _trace_activate(farm, server.name, "vector")
-                started += 1
-            return started
     for _ in range(count):
         if not _activate_one(farm):
             break
@@ -125,7 +106,7 @@ def _activate_many(farm: ServerFarm, count: int) -> int:
 
 def _deactivate_one(farm: ServerFarm, to_sleep: bool) -> bool:
     """Drain and sleep/shut one ACTIVE machine; True if done."""
-    cp = getattr(farm, "control_plane", None)
+    cp = farm.control_plane
     if cp is not None:
         done = cp.deactivate_one(to_sleep)
         if done:
@@ -157,7 +138,7 @@ def _deactivate_many(farm: ServerFarm, to_sleep: bool, count: int) -> int:
     """
     if count <= 0:
         return 0
-    cp = getattr(farm, "control_plane", None)
+    cp = farm.control_plane
     if cp is not None:
         done = 0
         for _ in range(count):
@@ -179,16 +160,6 @@ def _deactivate_many(farm: ServerFarm, to_sleep: bool, count: int) -> int:
             victim.shut_down()
         _trace_deactivate(farm, victim.name, to_sleep, "direct")
     return victims
-
-
-def _committed_count(farm: ServerFarm) -> int:
-    """Servers committed to serving (ACTIVE, BOOTING or WAKING)."""
-    fast = getattr(farm.fleet, "committed_count", None)
-    if fast is not None:
-        return fast()
-    return sum(1 for s in farm.servers
-               if s.state in (ServerState.ACTIVE, ServerState.BOOTING,
-                              ServerState.WAKING))
 
 
 class DelayBasedOnOff:
@@ -281,7 +252,7 @@ class ForecastOnOff:
         target = min(self.needed_servers(demand), len(self.farm.servers))
         self.target_monitor.record(target)
         # Machines already on their way up count toward the target.
-        committed = _committed_count(self.farm)
+        committed = self.farm.fleet.committed_count()
         if committed < target:
             self._surplus_since = None
             _activate_many(self.farm, target - committed)

@@ -14,13 +14,13 @@ import dataclasses
 import numpy as np
 
 from repro.cluster.rack import Cluster, Rack
-from repro.cluster.server import Server
 from repro.cooling.crac import CRACUnit
 from repro.cooling.economizer import AirSideEconomizer
 from repro.cooling.room import MachineRoom
 from repro.cooling.weather import SEATTLE_LIKE, WeatherModel
 from repro.cooling.zone import ThermalZone
 from repro.datacenter.tiers import Tier, TIER_SPECS, TierSpec
+from repro.fleet import VectorCluster, VectorFleet
 from repro.power.distribution import (
     CapacityExceeded,
     PDU_EFFICIENCY,
@@ -47,7 +47,7 @@ class DataCenterSpec:
     server_peak_w: float = 300.0
     server_idle_fraction: float = 0.6
     #: Exponent ``r`` of the Fan-et-al. calibrated power curve
-    #: (1.0 = linear).  The vector backend evaluates non-linear models
+    #: (1.0 = linear).  The vector plant evaluates non-linear models
     #: through its grouped libm-pow kernel — still batched, still
     #: bit-identical to the scalar model.
     server_nonlinearity: float = 1.0
@@ -63,16 +63,8 @@ class DataCenterSpec:
     #: pure chilled-water plant; needs a weather model.
     economizer: bool = False
     weather: WeatherModel | None = None
-    #: Plant storage layout.  ``"object"`` (default) keeps one Python
-    #: ``Server`` per machine; ``"vector"`` backs the fleet with the
-    #: structure-of-arrays :mod:`repro.fleet` plant — bit-identical
-    #: results, built for 10⁴–10⁵-server co-simulations.
-    backend: str = "object"
 
     def __post_init__(self):
-        if self.backend not in ("object", "vector"):
-            raise ValueError(
-                f"backend must be 'object' or 'vector', got {self.backend!r}")
         if self.racks < 1 or self.servers_per_rack < 1:
             raise ValueError("need at least one rack and one server")
         if self.zones < 1 or self.cracs < 1:
@@ -86,6 +78,27 @@ class DataCenterSpec:
     def total_servers(self) -> int:
         return self.racks * self.servers_per_rack
 
+    def _build_racks(self, env: Environment, model: ServerPowerModel):
+        """Servers -> zoned racks -> cluster; returns ``(fleet, cluster)``.
+
+        Rack ``r`` is ``{name}-rack{r}`` in ``zone-{r % zones}`` and
+        holds servers ``{name}-r{r}-s{s}``, all views on one
+        :class:`~repro.fleet.VectorFleet`.  Every server shares
+        ``model``, so the fleet has a single model group (the fused
+        batch kernel) and each rack is one bulk row claim.
+        """
+        fleet = VectorFleet(env, self.total_servers)
+        racks = []
+        for r in range(self.racks):
+            servers = fleet.build_servers(
+                env, [f"{self.name}-r{r}-s{s}"
+                      for s in range(self.servers_per_rack)],
+                power_model=model, capacity=self.server_capacity,
+                boot_s=self.boot_s, wake_s=self.wake_s)
+            racks.append(Rack(f"{self.name}-rack{r}", servers,
+                              zone=f"zone-{r % self.zones}"))
+        return fleet, VectorCluster(self.name, racks)
+
     def build(self, env: Environment) -> "DataCenter":
         """Instantiate the full facility on ``env``."""
         tier_spec = TIER_SPECS[self.tier]
@@ -94,41 +107,8 @@ class DataCenterSpec:
                                  nonlinearity=self.server_nonlinearity)
 
         # --- compute: servers -> zoned racks -> cluster --------------
-        fleet = None
-        if self.backend == "vector":
-            from repro.fleet import VectorCluster, VectorFleet
-            fleet = VectorFleet(env, self.total_servers)
-        racks = []
-        servers: list[Server] = []
-        for r in range(self.racks):
-            zone_name = f"zone-{r % self.zones}"
-            if fleet is not None:
-                # One shared model: every server is identical anyway,
-                # so they all land in a single model group (the fused
-                # single-pass batch kernel) and the whole rack is one
-                # bulk row claim.
-                rack_servers = fleet.build_servers(
-                    env,
-                    [f"{self.name}-r{r}-s{s}"
-                     for s in range(self.servers_per_rack)],
-                    power_model=model,
-                    capacity=self.server_capacity,
-                    boot_s=self.boot_s, wake_s=self.wake_s)
-            else:
-                rack_servers = [
-                    Server(env, f"{self.name}-r{r}-s{s}",
-                           power_model=ServerPowerModel(
-                               peak_w=self.server_peak_w,
-                               idle_fraction=self.server_idle_fraction,
-                               nonlinearity=self.server_nonlinearity),
-                           capacity=self.server_capacity,
-                           boot_s=self.boot_s, wake_s=self.wake_s)
-                    for s in range(self.servers_per_rack)]
-            servers.extend(rack_servers)
-            racks.append(Rack(f"{self.name}-rack{r}", rack_servers,
-                              zone=zone_name))
-        cluster = (VectorCluster(self.name, racks) if fleet is not None
-                   else Cluster(self.name, racks))
+        fleet, cluster = self._build_racks(env, model)
+        racks = cluster.racks
 
         # --- power: tree + UPS sized by tier --------------------------
         rack_peak_w = self.servers_per_rack * self.server_peak_w
@@ -173,7 +153,8 @@ class DataCenterSpec:
             weather = self.weather or SEATTLE_LIKE()
 
         return DataCenter(env=env, spec=self, tier_spec=tier_spec,
-                          cluster=cluster, servers=servers,
+                          fleet=fleet, cluster=cluster,
+                          servers=cluster.servers,
                           power_tree=transformer, rack_nodes=rack_nodes,
                           ups=ups, room=room,
                           pue=PUEAccountant(env),
@@ -187,6 +168,8 @@ class DataCenter:
     env: Environment
     spec: DataCenterSpec
     tier_spec: TierSpec
+    #: The plant's server-state store (fused boot storm and columns).
+    fleet: VectorFleet
     cluster: Cluster
     servers: list
     power_tree: PowerNode
@@ -263,8 +246,7 @@ class DataCenter:
         fast = self._tree_fast_path()
         if fast is not None:
             ups_node, pdu, leaves, leaf_dicts = fast
-            arr_fn = getattr(self.cluster, "rack_powers_array", None)
-            demands_arr = arr_fn() if arr_fn is not None else None
+            demands_arr = self.cluster.rack_powers_array()
             demands = (demands_arr.tolist() if demands_arr is not None
                        else self.cluster.rack_powers())
             # One fused pass: leaf input == leaf demand (identity

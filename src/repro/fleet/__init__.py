@@ -1,9 +1,9 @@
 """Structure-of-arrays vector plant for fleet-scale co-simulation.
 
-Select it with ``DataCenterSpec(backend="vector")``: servers become
-thin views over preallocated numpy columns, aggregates fold deltas in
-bulk, and the cluster heat map is one ``bincount`` — with object-path
-bit-equivalence guaranteed (see ``plant`` module docstring).
+Every ``DataCenterSpec`` builds on it: servers are thin views over
+preallocated numpy columns, aggregates fold deltas in bulk, and the
+cluster heat map is one ``bincount`` — bit-identical to plain
+per-object ``Server``s (see ``plant`` module docstring).
 """
 
 from repro.fleet.aggregates import VectorAggregate, VectorRackAggregate

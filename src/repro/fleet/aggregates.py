@@ -365,9 +365,6 @@ class VectorAggregate(FleetAggregate):
     def committed_count(self) -> int:
         return self._fleet.committed_count()
 
-    def pick_startable(self, quarantined=None):
-        return self._fleet.pick_startable(quarantined)
-
     def pick_startable_many(self, quarantined, count: int) -> list:
         return self._fleet.pick_startable_many(quarantined, count)
 

@@ -1,14 +1,14 @@
 """Structure-of-arrays vector plant: the fleet as numpy columns.
 
-The object backend keeps one Python :class:`~repro.cluster.server
-.Server` per machine, which caps co-simulations around a few thousand
-servers — every dispatch tick walks Python objects.  The vector plant
-inverts the layout: all per-server *hot* state (lifecycle code,
-P-/T-state, offered load, capacity, wall power, cap, zone id, rack
-slot, energy) lives in preallocated numpy arrays owned by a
-:class:`VectorFleet`, and :class:`VectorServer` is a thin **view**
-whose hot attributes are class-level properties redirecting into those
-columns.
+A plain :class:`~repro.cluster.server.Server` is one Python object
+per machine, which caps co-simulations around a few thousand servers
+— every dispatch tick walks Python objects.  The vector plant, which
+every ``DataCenterSpec`` builds, inverts the layout: all per-server
+*hot* state (lifecycle code, P-/T-state, offered load, capacity, wall
+power, cap, zone id, rack slot, energy) lives in preallocated numpy
+arrays owned by a :class:`VectorFleet`, and :class:`VectorServer` is a
+thin **view** whose hot attributes are class-level properties
+redirecting into those columns.
 
 Because the views redirect *storage only*, every inherited scalar code
 path (state machine, capping search, power funnel) runs unchanged and
@@ -17,7 +17,8 @@ bit-identically; the batch entry points in
 that replay the exact same IEEE operation sequence (left folds via
 ``np.cumsum``, elementwise min/clip, sequential ``np.bincount``).  The
 equivalence guarantee — identical energies, rosters and RNG streams
-between backends — is enforced by the backend-equivalence test suite.
+to a plant of plain ``Server``s — is enforced by the equivalence
+tests against a scalar reference plant.
 
 Power models are organised into *model groups*: every distinct
 (P/T-state table contents, nonlinearity) pair installed on the fleet
@@ -129,10 +130,10 @@ class _ModelGroup:
 class EnergyMeter:
     """Constant-memory stand-in for a server's power :class:`Monitor`.
 
-    The object backend keeps a full ``(time, value)`` history per
-    server; at 20k+ servers that is hundreds of MB nobody reads — the
-    headline results only ever need ∫P dt.  The meter folds each held
-    power segment into a running joule total at the moment the segment
+    A plain ``Server`` keeps a full ``(time, value)`` history; at
+    20k+ servers that is hundreds of MB nobody reads — the headline
+    results only ever need ∫P dt.  The meter folds each held power
+    segment into a running joule total at the moment the segment
     closes (exactly the step interpretation the Monitor integrates
     under) and holds no history.
 
@@ -175,12 +176,12 @@ class EnergyMeter:
 
         Only full-range queries are answered — the meter keeps no
         history, which is the point.  Windowed per-server energy needs
-        the object backend.
+        a plain ``Server`` (a per-server Monitor).
         """
         if start is not None and start > self._t0:
             raise ValueError(
                 "EnergyMeter keeps no history; windowed integrals need "
-                "the object backend (a per-server Monitor)")
+                "a plain Server (a per-server Monitor)")
         fleet = self._fleet
         i = self._idx
         t = fleet.env.now if end is None else float(end)
@@ -657,21 +658,8 @@ class VectorFleet:
     def pick_startable(self, quarantined=None):
         """First SLEEPING (else first OFF) server, in pool order,
         skipping quarantined zones — the On/Off scan, vectorized."""
-        code = self.state_code
-        eligible = None
-        if quarantined:
-            qids = [self._zone_ids[z] for z in quarantined
-                    if z in self._zone_ids]
-            if qids:
-                eligible = ~np.isin(self.zone_id, qids)
-        for target in (C_SLEEPING, C_OFF):
-            mask = code == target
-            if eligible is not None:
-                mask &= eligible
-            hits = np.flatnonzero(mask)
-            if hits.size:
-                return self.objs[hits[0]]
-        return None
+        picked = self.pick_startable_many(quarantined, 1)
+        return picked[0] if picked else None
 
     def pick_startable_many(self, quarantined, count: int) -> list:
         """The first ``count`` startable servers, SLEEPING before OFF.

@@ -1,12 +1,12 @@
 """Scale benchmark: wall-time of an N-server managed day.
 
-``python -m repro bench --servers 20000 --backend vector`` is the
-operational answer to "how big a facility can this library
-co-simulate?"  The runner derives a balanced facility shape from the
-requested server count (20 servers per rack, one zone per ~50 racks,
-one CRAC per ~2.5 zones), runs a full managed day against a flat 50 %
-demand, and reports wall time plus the headline physics so a perf
-regression and a correctness regression are equally visible.
+``python -m repro bench --servers 20000`` is the operational answer
+to "how big a facility can this library co-simulate?"  The runner
+derives a balanced facility shape from the requested server count
+(20 servers per rack, one zone per ~50 racks, one CRAC per ~2.5
+zones), runs a full managed day against a flat 50 % demand, and
+reports wall time plus the headline physics so a perf regression and
+a correctness regression are equally visible.
 
 The same entry point backs the committed ``BENCH_PERF.json`` rows and
 the CI regression gate (``benchmarks/check_perf_regression.py``).
@@ -29,10 +29,17 @@ __all__ = ["SCHEMA_VERSION", "bench_spec", "run_scale_bench",
 SCHEMA_VERSION = 1
 
 
-def bench_spec(servers: int, backend: str = "object"):
-    """A balanced :class:`DataCenterSpec` for ``servers`` machines."""
+def bench_spec(servers: int, backend: str = "vector"):
+    """A balanced :class:`DataCenterSpec` for ``servers`` machines.
+
+    ``backend`` accepts only ``"vector"``, the one plant layout.  It
+    is kept because ``perfbench/workloads.py`` still calls
+    ``bench_spec(n, "vector")`` positionally; any other value raises.
+    """
     from repro.datacenter import DataCenterSpec
 
+    if backend != "vector":
+        raise ValueError(f"the only plant is 'vector', got {backend!r}")
     if servers < 20:
         raise ValueError(f"need at least 20 servers, got {servers}")
     racks, rem = divmod(servers, 20)
@@ -47,17 +54,15 @@ def bench_spec(servers: int, backend: str = "object"):
     conductance = 80_000.0 * (servers / zones) / 200.0
     return DataCenterSpec(racks=racks, servers_per_rack=20,
                           zones=zones, cracs=cracs,
-                          zone_conductance_w_per_k=conductance,
-                          backend=backend)
+                          zone_conductance_w_per_k=conductance)
 
 
-def _run_scale_once(servers: int, backend: str, hours: float,
-                    demand_fraction: float, shards: int,
-                    shard_workers: int, pool=None) -> dict:
+def _run_scale_once(servers: int, hours: float, demand_fraction: float,
+                    shards: int, shard_workers: int, pool=None) -> dict:
     """One timed managed day (plain or zone-sharded)."""
     from repro.datacenter import CoSimulation, ShardedCoSimulation
 
-    spec = bench_spec(servers, backend)
+    spec = bench_spec(servers)
     demand = spec.total_servers * spec.server_capacity * demand_fraction
     start = time.perf_counter()
     if shards:
@@ -71,7 +76,6 @@ def _run_scale_once(servers: int, backend: str, hours: float,
     transport = sim.transport if shards else "local"
     metrics = {
         "servers": spec.total_servers,
-        "backend": backend,
         "hours": hours,
         "wall_s": wall_s,
         "sim_seconds_per_wall_second": hours * 3600.0 / wall_s,
@@ -88,8 +92,7 @@ def _run_scale_once(servers: int, backend: str, hours: float,
     return metrics
 
 
-def run_scale_bench(servers: int, backend: str = "object",
-                    hours: float = 24.0,
+def run_scale_bench(servers: int, hours: float = 24.0,
                     demand_fraction: float = 0.5,
                     shards: int = 0, shard_workers: int = 1,
                     repeat: int = 1, warmup: int = 0) -> dict:
@@ -119,9 +122,8 @@ def run_scale_bench(servers: int, backend: str = "object",
     best: dict | None = None
     try:
         for i in range(runs):
-            metrics = _run_scale_once(servers, backend, hours,
-                                      demand_fraction, shards,
-                                      shard_workers, pool=pool)
+            metrics = _run_scale_once(servers, hours, demand_fraction,
+                                      shards, shard_workers, pool=pool)
             if i < warmup:
                 continue
             if best is None or metrics["wall_s"] < best["wall_s"]:
@@ -220,7 +222,7 @@ def federation_scenario(n_sites: int = 5, shards: int = 1,
     for i in range(n_sites):
         name = f"dc{i}"
         spec = DataCenterSpec(name=name, racks=2, servers_per_rack=4,
-                              zones=2, cracs=1, backend="vector")
+                              zones=2, cracs=1)
         schedule = None
         engine_kwargs = None
         if name == outage_site:
@@ -327,13 +329,14 @@ def format_federation_report(metrics: typing.Mapping) -> str:
 
 def format_report(metrics: typing.Mapping) -> str:
     """Human-readable one-run summary."""
-    layout = metrics["backend"]
+    layout = ""
     if metrics.get("shards"):
-        layout += (f", {metrics['shards']} shards / "
-                   f"{metrics['shard_workers']} workers")
+        layout = (f" ({metrics['shards']} shards / "
+                  f"{metrics['shard_workers']} workers")
         if metrics.get("transport"):
             layout += f", {metrics['transport']}"
-    return (f"{metrics['servers']:,} servers ({layout}): "
+        layout += ")"
+    return (f"{metrics['servers']:,} servers{layout}: "
             f"{metrics['hours']:.0f} h simulated in "
             f"{metrics['wall_s']:.2f} s wall "
             f"({metrics['sim_seconds_per_wall_second']:,.0f}x realtime) "

@@ -103,7 +103,6 @@ class ServeScenario:
     servers_per_rack: int = 20
     zones: int = 4
     cracs: int = 2
-    backend: str = "object"
     seed: int = 0
     tick_s: float = 60.0
     #: Initial demand as a fraction of fleet work capacity.
@@ -122,8 +121,7 @@ class ServeScenario:
     def spec(self) -> DataCenterSpec:
         return DataCenterSpec(racks=self.racks,
                               servers_per_rack=self.servers_per_rack,
-                              zones=self.zones, cracs=self.cracs,
-                              backend=self.backend)
+                              zones=self.zones, cracs=self.cracs)
 
     @property
     def work_capacity(self) -> float:

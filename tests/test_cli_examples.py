@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.cli import SCENARIOS, build_parser, main
+from repro.perf.bench import bench_spec
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -35,6 +36,19 @@ def test_parser_defaults():
     args = build_parser().parse_args(["run", "tiers"])
     assert args.scenario == "tiers"
     assert args.years == 2_000
+
+
+@pytest.mark.parametrize("verb", ["bench", "serve"])
+def test_no_plant_choice(verb):
+    """There is one plant, so there is no ``--backend`` flag."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([verb, "--backend", "vector"])
+
+
+def test_bench_spec_keeps_only_the_vector_name():
+    assert bench_spec(40, "vector") == bench_spec(40)
+    with pytest.raises(ValueError, match="only plant"):
+        bench_spec(40, "object")
 
 
 def test_run_tiers_scenario(capsys):

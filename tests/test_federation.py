@@ -38,7 +38,7 @@ PERIOD = 300.0
 
 def _spec(name, **overrides):
     base = dict(name=name, racks=2, servers_per_rack=4, zones=2,
-                cracs=1, backend="vector")
+                cracs=1)
     base.update(overrides)
     return DataCenterSpec(**base)
 

@@ -19,8 +19,7 @@ from repro.datacenter import (
 
 
 def _spec(**overrides):
-    base = dict(racks=8, servers_per_rack=10, zones=4, cracs=2,
-                backend="vector")
+    base = dict(racks=8, servers_per_rack=10, zones=4, cracs=2)
     base.update(overrides)
     return DataCenterSpec(**base)
 
@@ -124,14 +123,6 @@ class TestShardedCoSimulation:
         sharded.run(3600.0)
         with pytest.raises(RuntimeError):
             sharded.run(3600.0)
-
-    def test_object_backend_shards_too(self):
-        spec = _spec(backend="object")
-        ref = ShardedCoSimulation(spec, DEMAND, shards=2,
-                                  workers=1).run(2 * 3600.0)
-        par = ShardedCoSimulation(spec, DEMAND, shards=2,
-                                  workers=2).run(2 * 3600.0)
-        assert par == ref
 
     def test_tracks_unsharded_energy(self):
         # Sharding approximates the monolith: same servers, same

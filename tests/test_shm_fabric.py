@@ -57,8 +57,7 @@ def leak_check():
 
 
 def _spec(**overrides):
-    base = dict(racks=8, servers_per_rack=10, zones=4, cracs=2,
-                backend="vector")
+    base = dict(racks=8, servers_per_rack=10, zones=4, cracs=2)
     base.update(overrides)
     return DataCenterSpec(**base)
 

@@ -1,9 +1,10 @@
 """Unit tests for the structure-of-arrays vector plant.
 
-The backend-equivalence suite (test_backend_equivalence.py) proves the
-two backends agree end to end; these tests pin the fleet package's own
-contracts — view semantics, the energy meter, aggregate construction
-rules, batch gating, and the vectorized scans.
+The equivalence suite (test_backend_equivalence.py) proves the vector
+plant agrees with the scalar reference plant end to end; these tests
+pin the fleet package's own contracts — view semantics, the energy
+meter, aggregate construction rules, batch gating, and the vectorized
+scans.
 """
 
 import numpy as np

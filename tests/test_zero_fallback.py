@@ -1,6 +1,6 @@
 """Zero-fallback regression gate for the vector hot path.
 
-PR 7's contract: on the vector backend, *no* standard experiment ever
+The contract: on the vector plant, *no* standard experiment ever
 drops off the batch kernels.  The tracer counts every batch-gate
 decision (``fleet.batch`` vs ``fleet.scalar_fallback``) and every
 demand evaluation (``fleet.demand_vector`` vs
@@ -23,12 +23,13 @@ from repro.obs import Tracer
 from repro.sim import RandomStreams
 from repro.workload import DiurnalProfile
 
+from reference_plant import ReferenceSpec
+
 
 def run_traced(managed=True, faulted=False, profile=None, capped=False,
-               nonlinearity=1.0, hours=4.0, backend="vector"):
-    spec = DataCenterSpec(name="zf", racks=6, servers_per_rack=8,
-                          zones=3, cracs=2, backend=backend,
-                          server_nonlinearity=nonlinearity)
+               nonlinearity=1.0, hours=4.0, spec_cls=DataCenterSpec):
+    spec = spec_cls(name="zf", racks=6, servers_per_rack=8, zones=3,
+                    cracs=2, server_nonlinearity=nonlinearity)
     peak = spec.total_servers * spec.server_capacity * 0.6
     diurnal = DiurnalProfile()
     schedule = None
@@ -77,10 +78,11 @@ def test_no_scalar_fallbacks(name):
 
 
 def test_nonlinear_cosim_matches_object_backend():
-    """The grouped libm-pow kernel is bit-identical end to end."""
+    """The grouped libm-pow kernel is bit-identical end to end to the
+    plain-``Server`` reference plant."""
     _, res_v = run_traced(nonlinearity=1.3, capped=True)
     _, res_o = run_traced(nonlinearity=1.3, capped=True,
-                          backend="object")
+                          spec_cls=ReferenceSpec)
     for field in dataclasses.fields(res_o):
         assert getattr(res_o, field.name) == getattr(res_v, field.name), \
-            f"CoSimResult.{field.name} differs between backends"
+            f"CoSimResult.{field.name} differs between plants"
