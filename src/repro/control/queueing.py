@@ -72,11 +72,13 @@ def mmc_wait_time(servers: int, arrival_rate: float,
     """Mean queueing delay (excluding service) of M/M/c."""
     if service_rate <= 0:
         raise ValueError("service rate must be positive")
-    a = arrival_rate / service_rate
-    if a >= servers:
+    # Test the slack itself, not λ/μ < c: with λ = 16.5, μ = 1.1 the
+    # ratio rounds below 15 while 15μ − λ rounds to exactly zero.
+    slack = servers * service_rate - arrival_rate
+    if slack <= 0:
         return float("inf")
-    pw = erlang_c(servers, a)
-    return pw / (servers * service_rate - arrival_rate)
+    pw = erlang_c(servers, arrival_rate / service_rate)
+    return pw / slack
 
 
 def mmc_response_time(servers: int, arrival_rate: float,

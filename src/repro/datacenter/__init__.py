@@ -24,7 +24,6 @@ from repro.datacenter.shm import (
     ShmLane,
     ShmLaneClosed,
     ShmLaneTimeout,
-    shm_available,
 )
 from repro.datacenter.spec import DataCenter, DataCenterSpec
 from repro.datacenter.tiers import Tier, TIER_SPECS, TierSpec
@@ -45,7 +44,6 @@ __all__ = [
     "ShmLane",
     "ShmLaneClosed",
     "ShmLaneTimeout",
-    "shm_available",
     "merge_resilience",
     "merge_results",
     "partition_faults",

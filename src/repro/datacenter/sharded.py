@@ -23,15 +23,15 @@ Transport: zero-copy shard fabric
 With workers, the per-period payloads (demand-share vector down,
 capacity column up) travel through one shared-memory
 :class:`~repro.datacenter.shm.FabricBlock` per worker under the
-seqlock/epoch protocol — the pipe then carries only control tokens,
-so the hot path serializes nothing.  When shared memory is
-unavailable (or ``REPRO_NO_SHM=1``), the payloads ride the pipe
-exactly as before; :attr:`ShardedCoSimulation.transport` records
-which path ran (``"local"`` / ``"shm"`` / ``"pipe"``), and both
-transports are bit-identical to ``workers=1`` (float64 columns
-round-trip exactly either way).  Control, error reporting, build
-configs and the final result pickle always stay on the pipe — they
-are the crash-attribution and replay surface.
+seqlock/epoch protocol — the pipe carries only control tokens, so
+the hot path serializes nothing.  A block that cannot be created
+raises its :class:`OSError`; ``workers=1`` (in-process, no shared
+memory) is the path for hosts without ``/dev/shm``.
+:attr:`ShardedCoSimulation.transport` records which path ran
+(``"local"`` / ``"shm"``); both are bit-identical (float64 columns
+round-trip exactly).  Control, error reporting, build configs and the
+final result pickle always stay on the pipe — they are the
+crash-attribution and replay surface.
 
 Warm worker reuse
 -----------------
@@ -104,7 +104,7 @@ from repro.cluster.server import ServerState
 from repro.core.faults import FaultKind, FaultSchedule, ResilienceReport
 from repro.core.sla import SLAReport
 from repro.datacenter.cosim import CoSimResult, CoSimulation
-from repro.datacenter.shm import FabricBlock, shm_available
+from repro.datacenter.shm import FabricBlock
 from repro.datacenter.spec import DataCenterSpec
 
 __all__ = [
@@ -482,6 +482,9 @@ class _ShardGroup:
     def finish(self) -> list[tuple[int, tuple]]:
         return [(s.index, s.finish()) for s in self.shards]
 
+    def close(self) -> None:
+        """Nothing to release in-process (the worker handles' API)."""
+
 
 def _group_layout(n_shards: int,
                   n_local: int) -> tuple[tuple[str, int], ...]:
@@ -496,17 +499,17 @@ def _group_layout(n_shards: int,
 
 
 def _shard_worker(conn, persist: bool = False) -> None:
-    """Persistent worker: serve shard batches over a pipe (+ fabric).
+    """Persistent worker: serve shard batches over a pipe + fabric.
 
     Each run starts with ``("build", items, demand_cfg,
     total_capacity, managed, shm)`` and ends with ``("finish",)`` →
     ``("result", ...)``; with ``persist`` the worker then waits for
     the next ``build`` (warm reuse across bench repeats) until an
     ``("exit",)``, otherwise it returns.  ``shm`` is ``(block name,
-    total shard count)`` or ``None``: with a fabric, the per-period
-    demand shares and capacity columns travel through the block's
-    seqlock lanes and the pipe carries only control tokens; without
-    one, the payloads ride the pipe as before.
+    total shard count)``: each ``("advance", until)`` token's demand
+    shares are read from the block's ``shares`` lane and the capacity
+    column is written to its ``caps`` lane, so the pipe carries only
+    control tokens.
     """
     block = None
     try:
@@ -520,40 +523,30 @@ def _shard_worker(conn, persist: bool = False) -> None:
             group = _ShardGroup(items, demand_cfg, total_capacity,
                                 managed)
             local_ids = [i for i, _, _ in items]
-            shares_lane = caps_lane = None
-            if shm is not None:
-                name, n_shards = shm
-                block = FabricBlock.attach(
-                    name, _group_layout(n_shards, len(local_ids)))
-                shares_lane = block.lane("shares")
-                caps_lane = block.lane("caps")
+            name, n_shards = shm
+            block = FabricBlock.attach(
+                name, _group_layout(n_shards, len(local_ids)))
+            shares_lane = block.lane("shares")
+            caps_lane = block.lane("caps")
             conn.send(("ready", group.ready()))
             period = 0
             while True:
                 msg = conn.recv()
                 if msg[0] == "advance":
                     period += 1
-                    if msg[2] is not None:
-                        shares = msg[2]
-                    else:
-                        vec = shares_lane.read(period)
-                        shares = {i: float(vec[i]) for i in local_ids}
+                    vec = shares_lane.read(period)
+                    shares = {i: float(vec[i]) for i in local_ids}
                     out = group.advance(msg[1], shares)
-                    if caps_lane is not None:
-                        caps_lane.write(period,
-                                        [cap for _, cap in out])
-                        conn.send(("ok", None))
-                    else:
-                        conn.send(("ok", out))
+                    caps_lane.write(period, [cap for _, cap in out])
+                    conn.send(("ok", None))
                 elif msg[0] == "finish":
                     conn.send(("result", group.finish()))
                     break
                 else:  # pragma: no cover - protocol guard
                     raise RuntimeError(f"unknown message {msg[0]!r}")
             del group
-            if block is not None:
-                block.close()
-                block = None
+            block.close()
+            block = None
             if not persist:
                 return
     except BaseException as exc:  # noqa: BLE001 - reported to parent
@@ -568,27 +561,6 @@ def _shard_worker(conn, persist: bool = False) -> None:
         conn.close()
 
 
-class _LocalGroup:
-    """In-process stand-in with the worker-pipe call surface."""
-
-    def __init__(self, items, demand_cfg, total_capacity, managed,
-                 recv_deadline_s=None):
-        self.group = _ShardGroup(items, demand_cfg, total_capacity,
-                                 managed)
-
-    def ready(self):
-        return self.group.ready()
-
-    def advance(self, until, shares):
-        return self.group.advance(until, shares)
-
-    def finish(self):
-        return self.group.finish()
-
-    def close(self):
-        pass
-
-
 class _ShardWorkerHandle:
     """A worker process serving one shard batch over a pipe.
 
@@ -598,16 +570,16 @@ class _ShardWorkerHandle:
     last macro period it completed — never as a parent blocked forever
     in ``Connection.recv``.
 
-    With a ``fabric`` (a :class:`~repro.datacenter.shm.FabricBlock`
-    the caller created and owns), the per-period share vector and
-    capacity column travel through its lanes at the macro-period
-    epoch; the pipe then carries only control tokens.  With
-    ``persist``, the worker process outlives :meth:`finish` so a
+    ``fabric`` is a :class:`~repro.datacenter.shm.FabricBlock` the
+    caller created and owns: the per-period share vector and capacity
+    column travel through its lanes at the macro-period epoch, and
+    the pipe carries only control tokens.  With ``persist``, the
+    worker process outlives :meth:`finish` so a
     :class:`ShardWorkerPool` can rebuild the next run on it warm.
     """
 
     def __init__(self, items, demand_cfg, total_capacity, managed,
-                 recv_deadline_s: float = 120.0, fabric=None,
+                 fabric: FabricBlock, recv_deadline_s: float = 120.0,
                  persist: bool = False):
         ctx = multiprocessing.get_context()
         self.conn, child = ctx.Pipe()
@@ -623,22 +595,16 @@ class _ShardWorkerHandle:
         self.build(items, demand_cfg, total_capacity, managed, fabric)
 
     def build(self, items, demand_cfg, total_capacity, managed,
-              fabric=None) -> None:
+              fabric: FabricBlock) -> None:
         """Start one run (on a fresh spawn or a warm pooled worker)."""
         self.shard_ids = [i for i, _, _ in items]
         self.completed_periods = 0
         self._done = False
-        self._fabric = fabric
-        if fabric is not None:
-            self._shares_lane = fabric.lane("shares")
-            self._caps_lane = fabric.lane("caps")
-            self._share_vec = np.zeros(self._shares_lane.size)
-            shm = (fabric.name, self._shares_lane.size)
-        else:
-            self._shares_lane = self._caps_lane = None
-            shm = None
+        self._shares_lane = fabric.lane("shares")
+        self._caps_lane = fabric.lane("caps")
+        self._share_vec = np.zeros(self._shares_lane.size)
         self._send(("build", items, demand_cfg, total_capacity,
-                    managed, shm))
+                    managed, (fabric.name, self._shares_lane.size)))
 
     def _context(self) -> str:
         return (f" (shards {self.shard_ids}, last completed period "
@@ -666,19 +632,13 @@ class _ShardWorkerHandle:
 
     def advance(self, until, shares):
         period = self.completed_periods + 1
-        if self._fabric is not None:
-            for i, share in shares.items():
-                self._share_vec[i] = share
-            self._shares_lane.write(period, self._share_vec)
-            self._send(("advance", until, None))
-            self._recv("ok")
-            caps = self._caps_lane.read(period,
-                                        deadline_s=self.recv_deadline_s)
-            out = [(i, float(caps[k]))
-                   for k, i in enumerate(self.shard_ids)]
-        else:
-            self._send(("advance", until, shares))
-            out = self._recv("ok")
+        for i, share in shares.items():
+            self._share_vec[i] = share
+        self._shares_lane.write(period, self._share_vec)
+        self._send(("advance", until))
+        self._recv("ok")
+        caps = self._caps_lane.read(period, deadline_s=self.recv_deadline_s)
+        out = [(i, float(caps[k])) for k, i in enumerate(self.shard_ids)]
         self.completed_periods += 1
         return out
 
@@ -746,10 +706,10 @@ class ShardWorkerPool:
                              managed, fabric)
             else:
                 handle = _ShardWorkerHandle(
-                    items, demand_cfg, total_capacity, managed,
-                    recv_deadline_s=self.recv_deadline_s,
-                    fabric=fabric, persist=True)
+                    items, demand_cfg, total_capacity, managed, fabric,
+                    recv_deadline_s=self.recv_deadline_s, persist=True)
                 if w < len(self._handles):
+                    self._handles[w].close()  # dead, or left mid-run
                     self._handles[w] = handle
                 else:
                     self._handles.append(handle)
@@ -793,7 +753,9 @@ class ShardedCoSimulation:
     workers:
         OS processes.  ``<= 1`` runs every shard in-process — the
         bit-identical reference; larger values deal shards round-robin
-        over ``min(workers, shards)`` persistent pipe workers.
+        over ``min(workers, shards)`` persistent workers, each
+        exchanging its payloads through its own shared-memory fabric
+        block.
     sync_period_s:
         Lockstep macro-period between demand redistributions (default
         300 s, the macro-management cadence).
@@ -815,9 +777,9 @@ class ShardedCoSimulation:
         counter.
 
     After :meth:`run`, :attr:`transport` names the exchange path that
-    ran: ``"local"`` (in-process), ``"shm"`` (shared-memory fabric),
-    or ``"pipe"`` (payloads pickled over the pipe — the fallback when
-    shared memory is unavailable or ``REPRO_NO_SHM=1``).
+    ran: ``"local"`` (in-process) or ``"shm"`` (shared-memory fabric).
+    A fabric block that cannot be created raises its :class:`OSError`
+    after every block and worker already made is closed.
     """
 
     def __init__(self, spec: DataCenterSpec, demand: dict,
@@ -861,7 +823,7 @@ class ShardedCoSimulation:
                                for i, cap in enumerate(caps)}
         self.pool = pool
         self.tracer = tracer
-        #: Exchange path of the (last) run: local / shm / pipe.
+        #: Exchange path of the (last) run: local / shm.
         self.transport: str | None = None
         self._ran = False
 
@@ -887,40 +849,35 @@ class ShardedCoSimulation:
         self._ran = True
         items = [(i, spec, sched) for i, (spec, sched) in enumerate(
             zip(self.shard_specs, self.shard_faults))]
-        fabrics: list[FabricBlock | None] = []
-        if self.workers <= 1:
-            self.transport = "local"
-            groups = [_LocalGroup(items, self.demand,
-                                  self.total_capacity, self.managed)]
-        else:
-            batches = [items[w::self.workers]
-                       for w in range(self.workers)]
-            self.transport = "pipe"
-            if shm_available():
-                try:
-                    fabrics = [FabricBlock.create(
-                        _group_layout(len(items), len(batch)))
-                        for batch in batches]
-                    self.transport = "shm"
-                except OSError:  # pragma: no cover - /dev/shm exhausted
-                    for fabric in fabrics:
-                        fabric.close()
-                    fabrics = []
-            if not fabrics:
-                fabrics = [None] * len(batches)
-            if self.pool is not None:
-                groups = self.pool.lease(batches, self.demand,
-                                         self.total_capacity,
-                                         self.managed, fabrics)
-            else:
-                groups = [_ShardWorkerHandle(
-                    batch, self.demand, self.total_capacity,
-                    self.managed, recv_deadline_s=self.recv_deadline_s,
-                    fabric=fabric)
-                    for batch, fabric in zip(batches, fabrics)]
+        self.transport = "local" if self.workers <= 1 else "shm"
         if self.tracer is not None:
             self.tracer.count(f"sharded.transport.{self.transport}")
+        # Blocks and handles are appended one at a time inside the
+        # try, so a failure on the k-th create still closes the k-1
+        # already made.
+        fabrics: list[FabricBlock] = []
+        groups: list = []
         try:
+            if self.workers <= 1:
+                groups.append(_ShardGroup(items, self.demand,
+                                          self.total_capacity,
+                                          self.managed))
+            else:
+                batches = [items[w::self.workers]
+                           for w in range(self.workers)]
+                for batch in batches:
+                    fabrics.append(FabricBlock.create(
+                        _group_layout(len(items), len(batch))))
+                if self.pool is not None:
+                    groups = self.pool.lease(batches, self.demand,
+                                             self.total_capacity,
+                                             self.managed, fabrics)
+                else:
+                    for batch, fabric in zip(batches, fabrics):
+                        groups.append(_ShardWorkerHandle(
+                            batch, self.demand, self.total_capacity,
+                            self.managed, fabric,
+                            recv_deadline_s=self.recv_deadline_s))
             caps: dict[int, float] = {}
             starts: set[float] = set()
             for group in groups:
@@ -946,5 +903,4 @@ class ShardedCoSimulation:
             for group in groups:
                 group.close()
             for fabric in fabrics:
-                if fabric is not None:
-                    fabric.close()
+                fabric.close()

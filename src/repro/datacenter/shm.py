@@ -10,7 +10,10 @@ of times per simulated day.  This module gives each worker group one
 so both sides write and read the columns in place, and the pipe
 carries only control tokens (``advance`` / ``ok`` / ``error``) plus
 everything that must stay replayable (the checkpoint log, crash
-reports, the final result pickle).
+reports, the final result pickle).  The fabric is the only worker
+payload path: a driver that cannot create its block raises the
+:class:`OSError`, and runs without workers stay in-process and never
+touch shared memory.
 
 Seqlock/epoch protocol
 ----------------------
@@ -49,40 +52,17 @@ deterministically.
 
 from __future__ import annotations
 
-import os
 import time
 import typing
 
 import numpy as np
 
 __all__ = [
-    "shm_available",
     "ShmLaneClosed",
     "ShmLaneTimeout",
     "ShmLane",
     "FabricBlock",
 ]
-
-#: Environment switch: any value other than ""/"0" forces the Pipe
-#: payload fallback (satellite: the fallback path must stay testable).
-NO_SHM_ENV = "REPRO_NO_SHM"
-
-
-def shm_available() -> bool:
-    """Whether the shared-memory transport may be used right now.
-
-    False when ``REPRO_NO_SHM`` is set (to anything but ``0``) or the
-    stdlib :mod:`multiprocessing.shared_memory` module is missing
-    (minimal builds without ``_posixshmem``).  Checked at run start,
-    so a test can flip the environment between runs in-process.
-    """
-    if os.environ.get(NO_SHM_ENV, "") not in ("", "0"):
-        return False
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - stdlib always has it here
-        return False
-    return True
 
 
 class ShmLaneClosed(RuntimeError):

@@ -21,6 +21,12 @@ in-flight message.  A SIGKILL at any macro period therefore yields a
 restart count lives on the supervisor (:attr:`recoveries`), *not* in
 the result, precisely because it is a wall-time fact.
 
+Each worker publishes its per-period :class:`SiteSummary` to a
+shared-memory summary lane (one fresh
+:class:`~repro.datacenter.shm.FabricBlock` per spawn); the pipe keeps
+the replay log and the control tokens.  A block that cannot be
+created raises its :class:`OSError`.
+
 Determinism contract: ``workers=False`` (everything in-process) is the
 bit-identical reference for ``workers=True``, with or without worker
 kills — the federation test asserts all three ways.
@@ -36,7 +42,7 @@ import typing
 
 from repro.datacenter.cosim import CoSimResult
 from repro.datacenter.sharded import ShardWorkerDied, poll_recv
-from repro.datacenter.shm import FabricBlock, shm_available
+from repro.datacenter.shm import FabricBlock
 from repro.sim import RandomStreams
 from repro.workload.diurnal import DiurnalProfile
 
@@ -107,13 +113,11 @@ class FederationResult:
 class _LocalSiteHandle:
     """In-process site — the bit-identical reference path."""
 
-    def __init__(self, cfg: SiteConfig, recv_deadline_s: float = 60.0,
-                 max_restarts: int = 3):
+    def __init__(self, cfg: SiteConfig):
         self.name = cfg.name
         self.runtime = SiteRuntime(cfg)
         self.ready_summary = self.runtime.ready()
         self.pid = None
-        self.transport = "local"
 
     def advance(self, until: float, units: float) -> SiteSummary:
         return self.runtime.advance(until, units)
@@ -145,8 +149,12 @@ class _SiteHandle:
         self.restarts = 0
         self.log: list[tuple] = []
         self._fabric: FabricBlock | None = None
-        self.transport = "pipe"
-        self._spawn()
+        self.conn = self.proc = None
+        try:
+            self._spawn()
+        except BaseException:
+            self.close()
+            raise
 
     # -- process lifecycle --------------------------------------------
     def _spawn(self) -> None:
@@ -159,16 +167,9 @@ class _SiteHandle:
         """
         ctx = multiprocessing.get_context()
         self.conn, child = ctx.Pipe()
-        shm_name = None
-        if shm_available():
-            try:
-                self._fabric = FabricBlock.create(SUMMARY_LAYOUT)
-                shm_name = self._fabric.name
-            except OSError:  # pragma: no cover - /dev/shm exhausted
-                self._fabric = None
-        self.transport = "shm" if self._fabric is not None else "pipe"
+        self._fabric = FabricBlock.create(SUMMARY_LAYOUT)
         self.proc = ctx.Process(target=_site_worker,
-                                args=(child, self.cfg, shm_name),
+                                args=(child, self.cfg, self._fabric.name),
                                 daemon=True)
         self.proc.start()
         child.close()
@@ -199,15 +200,13 @@ class _SiteHandle:
     def _exchange(self, message: tuple, expect: str, period: int):
         """One send/receive; ``period`` indexes the summary lane.
 
-        On the shm transport an ``advance`` reply's payload lives in
-        the fabric: the pipe ``ok`` (which orders writer before
-        reader) carries ``None`` and the summary is read from the
-        lane at the period's epoch.
+        An ``advance`` reply's payload lives in the fabric: the pipe
+        ``ok`` (which orders writer before reader) carries ``None``
+        and the summary is read from the lane at the period's epoch.
         """
         self.conn.send(message)
         reply = self._recv(expect)
-        if (reply is None and expect == "ok"
-                and self._fabric is not None):
+        if expect == "ok":
             vec = self._fabric.lane("summary").read(
                 period, deadline_s=self.recv_deadline_s)
             reply = unpack_summary(self.name, vec)
@@ -248,8 +247,9 @@ class _SiteHandle:
         return out
 
     def close(self) -> None:
-        self.conn.close()
-        if self.proc.is_alive():
+        if self.conn is not None:
+            self.conn.close()
+        if self.proc is not None and self.proc.is_alive():
             self.proc.terminate()
             self.proc.join(timeout=5.0)
         if self._fabric is not None:
@@ -293,11 +293,9 @@ class FederatedCoSimulation:
         counter.
 
     After :meth:`run`, :attr:`transport` names the summary exchange
-    path: ``"local"`` (in-process), ``"shm"`` (shared-memory summary
-    lanes), or ``"pipe"`` (pickled summaries — the fallback when
-    shared memory is unavailable or ``REPRO_NO_SHM=1``).  The
-    parent→worker advance stream always stays on the pipe: it is the
-    supervisor's replay log.
+    path: ``"local"`` (in-process) or ``"shm"`` (shared-memory summary
+    lanes).  The parent→worker advance stream always stays on the
+    pipe: it is the supervisor's replay log.
     """
 
     def __init__(self, sites: typing.Sequence[FederationSite],
@@ -329,7 +327,7 @@ class FederatedCoSimulation:
             policy=policy, streams=RandomStreams(seed))
         self._profile = DiurnalProfile()
         self.tracer = tracer
-        #: Summary exchange path of the (last) run: local / shm / pipe.
+        #: Summary exchange path of the (last) run: local / shm.
         self.transport: str | None = None
         #: Wall-time facts only — never part of the result.
         self.recoveries: dict[str, int] = {}
@@ -357,15 +355,18 @@ class FederatedCoSimulation:
         if self._ran:
             raise RuntimeError("a federated co-simulation runs once")
         self._ran = True
-        handle_cls = _SiteHandle if self.workers else _LocalSiteHandle
-        handles = [handle_cls(s.config,
-                              recv_deadline_s=self.recv_deadline_s,
-                              max_restarts=self.max_restarts)
-                   for s in self.sites]
-        self.transport = handles[0].transport if handles else "local"
+        self.transport = "shm" if self.workers else "local"
         if self.tracer is not None:
             self.tracer.count(f"federation.transport.{self.transport}")
+        # Appended one at a time inside the try, so a site that fails
+        # to build still lets the finally close the sites before it.
+        handles = []
         try:
+            for s in self.sites:
+                handles.append(_SiteHandle(
+                    s.config, recv_deadline_s=self.recv_deadline_s,
+                    max_restarts=self.max_restarts)
+                    if self.workers else _LocalSiteHandle(s.config))
             summaries: dict[str, SiteSummary] = {
                 h.name: h.ready_summary for h in handles}
             starts = {s.time_s for s in summaries.values()}

@@ -39,6 +39,7 @@ from repro.datacenter.sharded import (
     partition_faults,
     partition_spec,
 )
+from repro.datacenter.shm import FabricBlock
 from repro.datacenter.spec import DataCenterSpec
 
 __all__ = ["SiteConfig", "SiteSummary", "SiteRuntime",
@@ -116,8 +117,8 @@ def pack_summary(summary: SiteSummary) -> list[float]:
     """Encode a summary as float64s for the shared-memory lane.
 
     Bools and counts round-trip exactly (they are small integers);
-    the float fields are already float64, so the shm transport is
-    bit-identical to pickling the tuple — NaN PUE included.
+    the float fields are already float64, so the lane round-trips
+    the summary bit for bit — NaN PUE included.
     """
     return [summary.time_s, summary.installed_capacity,
             summary.healthy_capacity, summary.awake_capacity,
@@ -301,7 +302,7 @@ class SiteRuntime:
         return merged, offered, shed
 
 
-def _site_worker(conn, cfg: SiteConfig, shm_name: str | None = None) -> None:
+def _site_worker(conn, cfg: SiteConfig, shm_name: str) -> None:
     """Persistent pipe server: one :class:`SiteRuntime` per process.
 
     Same protocol shape as the zone-sharded plant's worker; the
@@ -309,23 +310,20 @@ def _site_worker(conn, cfg: SiteConfig, shm_name: str | None = None) -> None:
     :func:`~repro.datacenter.sharded.poll_recv` helper and replays the
     message log into a fresh worker after a crash.
 
-    With ``shm_name``, each period's :class:`SiteSummary` is published
-    to that fabric block's ``summary`` lane at the macro-period epoch
-    and the pipe ``ok`` carries ``None``.  The parent→worker direction
-    (the ``advance`` messages) deliberately stays on the pipe: that
-    stream *is* the supervisor's replay log, and a respawned worker
-    must be able to consume it with nothing but its config — epochs
-    restart from 1 on each spawn, so the replayed periods rewrite the
-    same lane slots deterministically.
+    Each period's :class:`SiteSummary` is published to the
+    ``summary`` lane of the fabric block named ``shm_name`` at the
+    macro-period epoch, and the pipe ``ok`` carries ``None``.  The
+    parent→worker direction (the ``advance`` messages) deliberately
+    stays on the pipe: that stream *is* the supervisor's replay log,
+    and a respawned worker must be able to consume it with nothing
+    but its config — epochs restart from 1 on each spawn, so the
+    replayed periods rewrite the same lane slots deterministically.
     """
     block = None
     try:
         runtime = SiteRuntime(cfg)
-        lane = None
-        if shm_name is not None:
-            from repro.datacenter.shm import FabricBlock
-            block = FabricBlock.attach(shm_name, SUMMARY_LAYOUT)
-            lane = block.lane("summary")
+        block = FabricBlock.attach(shm_name, SUMMARY_LAYOUT)
+        lane = block.lane("summary")
         conn.send(("ready", runtime.ready()))
         period = 0
         while True:
@@ -333,11 +331,8 @@ def _site_worker(conn, cfg: SiteConfig, shm_name: str | None = None) -> None:
             if msg[0] == "advance":
                 period += 1
                 summary = runtime.advance(msg[1], msg[2])
-                if lane is not None:
-                    lane.write(period, pack_summary(summary))
-                    conn.send(("ok", None))
-                else:
-                    conn.send(("ok", summary))
+                lane.write(period, pack_summary(summary))
+                conn.send(("ok", None))
             elif msg[0] == "finish":
                 conn.send(("result", runtime.finish()))
                 return

@@ -135,6 +135,14 @@ def test_mmc_overload_infinite_wait():
     assert mmc_wait_time(4, 100.0, 10.0) == float("inf")
 
 
+def test_mmc_zero_slack_infinite_wait():
+    # 16.5 / 1.1 rounds below 15 while 15 * 1.1 - 16.5 is exactly 0.0:
+    # the queue is saturated, not a division by zero.
+    assert 16.5 / 1.1 < 15 and 15 * 1.1 - 16.5 == 0.0
+    assert mmc_wait_time(15, 16.5, 1.1) == float("inf")
+    assert servers_for_response_time(16.5, 1.1, 5.0) >= 16
+
+
 def test_servers_for_response_time_basic():
     c = servers_for_response_time(arrival_rate=80.0, service_rate=10.0,
                                   target_s=0.15)

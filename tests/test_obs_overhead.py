@@ -72,14 +72,18 @@ def test_traced_on_is_bit_identical_with_impaired_control_plane():
 def test_traced_on_overhead_under_10_percent_on_500_server_day():
     """Recorder on: < 10 % wall-time overhead at fleet scale.
 
-    Best-of-3 per variant damps scheduler noise; the small absolute
-    epsilon keeps a sub-second baseline from flaking the ratio.
+    Best-of-3 per variant damps scheduler noise, and the variants
+    alternate so a shift in machine load lands on both alike; the
+    small absolute epsilon keeps a sub-second baseline from flaking
+    the ratio.
     """
     run_bench_day(None)  # warm imports and numpy kernels
-    bare_result, bare_s = min(
-        (run_bench_day(None) for _ in range(3)), key=lambda r: r[1])
-    traced_result, traced_s = min(
-        (run_bench_day(Tracer()) for _ in range(3)), key=lambda r: r[1])
+    bare_runs, traced_runs = [], []
+    for _ in range(3):
+        bare_runs.append(run_bench_day(None))
+        traced_runs.append(run_bench_day(Tracer()))
+    bare_result, bare_s = min(bare_runs, key=lambda r: r[1])
+    traced_result, traced_s = min(traced_runs, key=lambda r: r[1])
     assert traced_result == bare_result
     assert traced_s <= bare_s * 1.10 + 0.05, (
         f"traced {traced_s:.3f}s vs untraced {bare_s:.3f}s "

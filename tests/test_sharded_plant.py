@@ -199,14 +199,19 @@ class TestPollRecv:
         import signal
 
         from repro.datacenter import ShardWorkerDied
-        from repro.datacenter.sharded import _ShardWorkerHandle
+        from repro.datacenter.sharded import (
+            _group_layout,
+            _ShardWorkerHandle,
+        )
+        from repro.datacenter.shm import FabricBlock
 
         spec = _spec()
         parts = partition_spec(spec, 2)
         items = [(i, part, None) for i, part in enumerate(parts)]
+        fabric = FabricBlock.create(_group_layout(2, 2))
         handle = _ShardWorkerHandle(
             items, DEMAND, spec.total_servers * spec.server_capacity,
-            True, recv_deadline_s=30.0)
+            True, fabric, recv_deadline_s=30.0)
         try:
             ready = handle.ready()
             start = ready[0][1]
@@ -220,6 +225,7 @@ class TestPollRecv:
             assert "period 1" in str(err.value)
         finally:
             handle.close()
+            fabric.close()
 
 
 class TestShardedFaults:

